@@ -11,22 +11,19 @@ graph with on-the-fly load/store edge addition and periodic SCC collapse
 (cycle elimination), and can be restricted to a statement subset — that is
 how bootstrapping runs it "on the sliced sub-program only".
 
-Two interchangeable solver backends implement that worklist:
-
-* the **kernel** backend (default) interns every object to a dense int
-  (:class:`~.kernel.NodeTable`) and keeps points-to sets as int bit
-  masks — difference propagation carries only the delta mask
-  (``new & ~old``), and SCC collapse unions masks instead of rebuilding
-  sets;
-* the **reference** backend (``use_kernel=False``) is the original
-  frozenset implementation, kept as the oracle the kernel differential
-  suite compares against bit-for-bit.
+The worklist runs on the bitmask kernel: every object is interned to a
+dense int (:class:`~.kernel.NodeTable`) and points-to sets are int bit
+masks — difference propagation carries only the delta mask
+(``new & ~old``), and SCC collapse unions masks instead of rebuilding
+sets.  The frozenset solver it was derived from lives in
+``tests/reference/`` as the oracle the differential suites compare it
+against bit-for-bit.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple,
 )
 
 from ..ir import (
@@ -41,20 +38,18 @@ from ..ir import (
 )
 from .base import PointerAnalysis, PointsToResult
 from .kernel import IntUnionFind, NodeTable, iter_bits
-from .unionfind import UnionFind
 
 
 class AndersenResult(PointsToResult):
     """Points-to sets plus cluster extraction.
 
-    ``table`` (set by the kernel backend) provides the dense interned
-    ids that make :meth:`clusters` iterate in a hash-seed-independent
-    order; without it, string order stands in.
+    ``table`` is the solver's :class:`~.kernel.NodeTable`; its dense
+    interned ids make :meth:`clusters` iterate in a
+    hash-seed-independent order.
     """
 
     def __init__(self, pts: Dict[MemObject, FrozenSet[MemObject]],
-                 universe: Set[Var],
-                 table: Optional[NodeTable] = None) -> None:
+                 universe: Set[Var], table: NodeTable) -> None:
         self._pts = pts
         self.universe = universe
         self._table = table
@@ -76,11 +71,10 @@ class AndersenResult(PointsToResult):
         emitted as singleton clusters so the result still covers every
         pointer (convenient for the cascade's bookkeeping).
 
-        Every intermediate iteration runs in a deterministic order —
-        interned-id order when the kernel built this result, string
-        order otherwise — never raw set order, so cluster emission is
-        identical under every ``PYTHONHASHSEED`` (pinned by the
-        hash-seed test in ``tests/test_kernel.py``).
+        Every intermediate iteration runs in interned-id order, never
+        raw set order, so cluster emission is identical under every
+        ``PYTHONHASHSEED`` (pinned by the hash-seed test in
+        ``tests/test_kernel.py``).
         """
         ptrs = set(pointers) if pointers is not None else set(self.universe)
         order = self._stable_order
@@ -97,13 +91,12 @@ class AndersenResult(PointsToResult):
         return sorted(clusters, key=lambda s: (-len(s), sorted(map(str, s))))
 
     def _stable_order(self, obj: MemObject):
-        """Hash-seed-independent sort key: dense interned id when the
-        kernel's table is attached (ints compare fastest), qualified
-        string otherwise."""
-        if self._table is not None:
-            idx = self._table.id_of(obj)
-            if idx is not None:
-                return (0, idx)
+        """Hash-seed-independent sort key: the dense interned id (ints
+        compare fastest); objects no solved statement mentions were
+        never interned and sort after, by qualified string."""
+        idx = self._table.id_of(obj)
+        if idx is not None:
+            return (0, idx)
         return (1, str(obj))
 
     def max_cluster_size(self, pointers: Optional[Iterable[Var]] = None) -> int:
@@ -123,18 +116,13 @@ class Andersen(PointerAnalysis):
     cycle_elimination:
         Collapse constraint-graph SCCs periodically.  Identical results,
         usually faster on large inputs.
-    use_kernel:
-        Solve with the dense-int bitmask kernel (default).  ``False``
-        selects the frozenset reference backend; both return identical
-        results, which the differential suite enforces.
     """
 
     name = "andersen"
 
     def __init__(self, program: Program,
                  statements: Optional[Iterable[Statement]] = None,
-                 cycle_elimination: bool = True,
-                 use_kernel: bool = True) -> None:
+                 cycle_elimination: bool = True) -> None:
         super().__init__(program)
         if statements is None:
             stmts: List[Statement] = [s for _, s in program.statements()]
@@ -142,22 +130,13 @@ class Andersen(PointerAnalysis):
             stmts = list(statements)
         self._statements = stmts
         self._cycle_elimination = cycle_elimination
-        self._use_kernel = use_kernel
 
     def run(self) -> AndersenResult:
-        if self._use_kernel:
-            return self._run_kernel()
-        return self._run_reference()
-
-    # -- kernel backend: dense ids + bit masks ---------------------------
-
-    def _run_kernel(self) -> AndersenResult:
-        """The same worklist as :meth:`_run_reference`, with objects
-        interned to dense ints (statement order, hence deterministic)
-        and points-to / successor sets held as int bit masks.  Mask
-        content is never rep-mapped — like the reference's sets it holds
-        the original pointed-to objects — only graph *nodes* go through
-        the union-find."""
+        """Difference-propagation worklist with objects interned to
+        dense ints (statement order, hence deterministic) and points-to
+        / successor sets held as int bit masks.  Mask content is never
+        rep-mapped — it holds the original pointed-to objects — only
+        graph *nodes* go through the union-find."""
         table = NodeTable()
         intern = table.intern
         addr: List[Tuple[int, int]] = []   # lhs ⊇ {target}
@@ -185,9 +164,10 @@ class Andersen(PointerAnalysis):
         # Edges already materialized for complex constraints, keyed
         # src * n + dst over representatives.
         done_edges: Set[int] = set()
-        # Nodes whose successor mask is nonzero (the reference trigger
-        # compares against len(succs), whose keys always hold nonempty
-        # sets); recomputed after each collapse.
+        # Nodes whose successor mask is nonzero, the collapse trigger
+        # (the frozenset oracle in tests/reference/ compares against
+        # len(succs), whose keys hold nonempty sets); recomputed after
+        # each collapse.
         succ_nodes = 0
 
         def add_edge(src: int, dst: int) -> None:
@@ -238,8 +218,7 @@ class Andersen(PointerAnalysis):
                         done_edges.add(key)
                         add_edge(src, obj)
             # Propagate along copy edges (mask read after the complex
-            # constraints above, so freshly added edges are included —
-            # same as the reference's list() snapshot).
+            # constraints above, so freshly added edges are included).
             for dst in iter_bits(succs[node]):
                 dst = find(dst)
                 if dst == node:
@@ -252,13 +231,13 @@ class Andersen(PointerAnalysis):
             if (self._cycle_elimination and not delta
                     and rounds_since_collapse > succ_nodes):
                 rounds_since_collapse = 0
-                self._collapse_sccs_kernel(
+                self._collapse_sccs(
                     n, uf, pts, delta, succs, load_cons, store_cons)
                 succ_nodes = sum(1 for m in succs if m)
 
-        # Canonicalize exactly like the reference: one entry per program
-        # object plus every representative holding facts, each decoding
-        # its class representative's mask.
+        # Canonicalize: one entry per program object plus every
+        # representative holding facts, each decoding its class
+        # representative's mask.
         final: Dict[MemObject, FrozenSet[MemObject]] = {}
         keys = set(self.program.objects)
         keys.update(table.obj_of(i) for i in range(n) if pts[i])
@@ -269,17 +248,18 @@ class Andersen(PointerAnalysis):
                 final[obj] = empty
             else:
                 final[obj] = table.objects_of(pts[find(idx)])
-        return AndersenResult(final, set(self.program.pointers), table=table)
+        return AndersenResult(final, set(self.program.pointers), table)
 
     @staticmethod
-    def _collapse_sccs_kernel(n: int, uf: IntUnionFind,
+    def _collapse_sccs(n: int, uf: IntUnionFind,
                               pts: List[int], delta: Dict[int, int],
                               succs: List[int],
                               load_cons: Dict[int, List[int]],
                               store_cons: Dict[int, List[int]]) -> None:
-        """Mask-space twin of :meth:`_collapse_sccs`: Tarjan over the
-        copy graph, then classes merge by OR-ing masks onto the
-        representative instead of rebuilding sets."""
+        """Collapse copy-edge SCCs (pointer equivalence): Tarjan over
+        the copy graph, then classes merge by OR-ing masks onto the
+        representative and every side table is remapped onto
+        representatives."""
         find = uf.find
         index: Dict[int, int] = {}
         low: Dict[int, int] = {}
@@ -368,180 +348,3 @@ class Andersen(PointerAnalysis):
         for i in range(n):
             if pts[i]:
                 delta[i] = delta.get(i, 0) | pts[i]
-
-    # -- reference backend: the original frozenset implementation --------
-
-    def _run_reference(self) -> AndersenResult:
-        addr: List[Tuple[MemObject, MemObject]] = []   # lhs ⊇ {target}
-        copies: List[Tuple[MemObject, MemObject]] = [] # lhs ⊇ rhs
-        loads: List[Tuple[Var, Var]] = []              # lhs ⊇ *rhs
-        stores: List[Tuple[Var, Var]] = []             # *lhs ⊇ rhs
-        for stmt in self._statements:
-            if isinstance(stmt, AddrOf):
-                addr.append((stmt.lhs, stmt.target))
-            elif isinstance(stmt, Copy):
-                copies.append((stmt.lhs, stmt.rhs))
-            elif isinstance(stmt, Load):
-                loads.append((stmt.lhs, stmt.rhs))
-            elif isinstance(stmt, Store):
-                stores.append((stmt.lhs, stmt.rhs))
-
-        uf: UnionFind[MemObject] = UnionFind()
-        pts: Dict[MemObject, Set[MemObject]] = {}
-        delta: Dict[MemObject, Set[MemObject]] = {}
-        succs: Dict[MemObject, Set[MemObject]] = {}
-        load_cons: Dict[MemObject, List[MemObject]] = {}
-        store_cons: Dict[MemObject, List[MemObject]] = {}
-        # Edges already materialized for complex constraints.
-        done_edges: Set[Tuple[MemObject, MemObject]] = set()
-
-        def rep(n: MemObject) -> MemObject:
-            return uf.find(n)
-
-        def add_edge(src: MemObject, dst: MemObject) -> None:
-            src, dst = rep(src), rep(dst)
-            if src == dst:
-                return
-            if dst in succs.setdefault(src, set()):
-                return
-            succs[src].add(dst)
-            new = pts.get(src, set()) - pts.get(dst, set())
-            if new:
-                pts.setdefault(dst, set()).update(new)
-                delta.setdefault(dst, set()).update(new)
-
-        for lhs, target in addr:
-            pts.setdefault(rep(lhs), set()).add(target)
-            delta.setdefault(rep(lhs), set()).add(target)
-        for lhs, rhs in copies:
-            add_edge(rhs, lhs)
-        for lhs, rhs in loads:
-            load_cons.setdefault(rep(rhs), []).append(lhs)
-        for lhs, rhs in stores:
-            store_cons.setdefault(rep(lhs), []).append(rhs)
-
-        rounds_since_collapse = 0
-        while delta:
-            node, new_objs = delta.popitem()
-            node = rep(node)
-            if not new_objs:
-                continue
-            # Complex constraints: node's points-to grew, so loads from
-            # and stores through node gain edges.
-            for dst in load_cons.get(node, ()):  # dst = *node
-                for obj in new_objs:
-                    key = (rep(obj), rep(dst))
-                    if key not in done_edges:
-                        done_edges.add(key)
-                        add_edge(obj, dst)
-            for src in store_cons.get(node, ()):  # *node = src
-                for obj in new_objs:
-                    key = (rep(src), rep(obj))
-                    if key not in done_edges:
-                        done_edges.add(key)
-                        add_edge(src, obj)
-            # Propagate along copy edges.
-            for dst in list(succs.get(node, ())):
-                dst = rep(dst)
-                if dst == node:
-                    continue
-                fresh = new_objs - pts.get(dst, set())
-                if fresh:
-                    pts.setdefault(dst, set()).update(fresh)
-                    delta.setdefault(dst, set()).update(fresh)
-            rounds_since_collapse += 1
-            if (self._cycle_elimination and not delta
-                    and rounds_since_collapse > len(succs)):
-                rounds_since_collapse = 0
-                self._collapse_sccs(uf, pts, delta, succs, load_cons, store_cons)
-
-        # Canonicalize: every object maps to its representative's set,
-        # with members of merged classes sharing the same set.
-        final: Dict[MemObject, FrozenSet[MemObject]] = {}
-        for obj in set(self.program.objects) | set(pts):
-            final[obj] = frozenset(pts.get(rep(obj), ()))
-        return AndersenResult(final, set(self.program.pointers))
-
-    @staticmethod
-    def _collapse_sccs(uf: UnionFind[MemObject],
-                       pts: Dict[MemObject, Set[MemObject]],
-                       delta: Dict[MemObject, Set[MemObject]],
-                       succs: Dict[MemObject, Set[MemObject]],
-                       load_cons: Dict[MemObject, List[MemObject]],
-                       store_cons: Dict[MemObject, List[MemObject]]) -> None:
-        """Collapse copy-edge SCCs (pointer equivalence), remapping every
-        side table onto class representatives."""
-        nodes = list(succs)
-        index: Dict[MemObject, int] = {}
-        low: Dict[MemObject, int] = {}
-        on_stack: Set[MemObject] = set()
-        stack: List[MemObject] = []
-        counter = [0]
-        merged_any = [False]
-
-        def connect(root: MemObject) -> None:
-            work: List[Tuple[MemObject, Iterable[MemObject]]] = \
-                [(root, iter(list(succs.get(root, ()))))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for nxt in it:
-                    nxt = uf.find(nxt)
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter[0]
-                        counter[0] += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(list(succs.get(nxt, ())))))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
-                if low[node] == index[node]:
-                    comp: List[MemObject] = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    if len(comp) > 1:
-                        merged_any[0] = True
-                        base = comp[0]
-                        for other in comp[1:]:
-                            uf.union(base, other)
-
-        for n in nodes:
-            if uf.find(n) == n and n not in index:
-                connect(n)
-        if not merged_any[0]:
-            return
-        # Rebuild side tables keyed by representatives.
-        for table in (pts, delta):
-            old = list(table.items())
-            table.clear()
-            for key, val in old:
-                table.setdefault(uf.find(key), set()).update(val)
-        old_succs = list(succs.items())
-        succs.clear()
-        for key, val in old_succs:
-            r = uf.find(key)
-            succs.setdefault(r, set()).update(uf.find(v) for v in val)
-            succs[r].discard(r)
-        for cons in (load_cons, store_cons):
-            old_cons = list(cons.items())
-            cons.clear()
-            for key, val in old_cons:
-                cons.setdefault(uf.find(key), []).extend(val)
-        # Merged classes may now have unpropagated facts.
-        for key, val in list(pts.items()):
-            delta.setdefault(key, set()).update(val)

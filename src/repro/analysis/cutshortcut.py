@@ -424,17 +424,13 @@ class CutShortcut:
 
     def __init__(self, program: Program,
                  statements: Optional[Iterable[Tuple[Loc, Statement]]] = None,
-                 source_bound: int = DEFAULT_SOURCE_BOUND,
-                 cycle_elimination: bool = True,
-                 use_kernel: bool = True) -> None:
+                 source_bound: int = DEFAULT_SOURCE_BOUND) -> None:
         #: ``statements`` is a located ``(Loc, Statement)`` iterable (a
         #: slice of ``program.statements()``); locations select which
         #: return copies the transform may rewrite.
         self.program = program
         self._statements = statements
         self._source_bound = source_bound
-        self._cycle_elimination = cycle_elimination
-        self._use_kernel = use_kernel
 
     def run(self) -> CutShortcutResult:
         transform = CutShortcutTransform.of(self.program,
@@ -443,7 +439,5 @@ class CutShortcut:
         if located is None:
             located = self.program.statements()
         transformed = transform.transform_statements(located)
-        andersen = Andersen(self.program, statements=transformed,
-                            cycle_elimination=self._cycle_elimination,
-                            use_kernel=self._use_kernel).run()
+        andersen = Andersen(self.program, statements=transformed).run()
         return CutShortcutResult(andersen, transform)

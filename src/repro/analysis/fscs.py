@@ -76,8 +76,7 @@ class ClusterFSCS:
                  max_cond_atoms: int = 4,
                  budget: Optional[int] = None,
                  max_fsci_iterations: Optional[int] = None,
-                 deadline: Optional[float] = None,
-                 use_kernel: bool = True) -> None:
+                 deadline: Optional[float] = None) -> None:
         self.program = program
         self.cluster: FrozenSet[Var] = frozenset(cluster)
         self.tracked: Optional[FrozenSet[MemObject]] = (
@@ -90,7 +89,6 @@ class ClusterFSCS:
         self._max_cond_atoms = max_cond_atoms
         self._budget = budget
         self._deadline = deadline
-        self._use_kernel = use_kernel
 
     @property
     def fsci(self) -> FSCIResult:
@@ -109,8 +107,7 @@ class ClusterFSCS:
                               relevant=self.relevant, functions=functions,
                               max_iterations=self._max_fsci_iterations,
                               callgraph=self.callgraph,
-                              deadline=self._deadline,
-                              use_kernel=self._use_kernel).run()
+                              deadline=self._deadline).run()
         return self._fsci
 
     @property
@@ -275,8 +272,8 @@ def whole_program_fscs(program: Program,
                        budget: Optional[int] = None,
                        max_fsci_iterations: Optional[int] = None,
                        max_cond_atoms: int = 4,
-                       timeout_seconds: Optional[float] = None,
-                       use_kernel: bool = True) -> ClusterFSCS:
+                       timeout_seconds: Optional[float] = None
+                       ) -> ClusterFSCS:
     """The *unclustered* FSCS baseline (Table 1 column 6): one cluster
     containing every pointer, no slicing.  Expected not to scale — that
     is the point of the experiment (``timeout_seconds`` mirrors the
@@ -288,4 +285,4 @@ def whole_program_fscs(program: Program,
                        relevant=None, budget=budget,
                        max_cond_atoms=max_cond_atoms,
                        max_fsci_iterations=max_fsci_iterations,
-                       deadline=deadline, use_kernel=use_kernel)
+                       deadline=deadline)

@@ -15,7 +15,6 @@ from .corpus import (
 from .demand import run_demand_bench
 from .figure1 import Figure1Data, compute_figure1, run_figure1
 from .parallel import run_parallel_bench
-from .profile_solvers import run_kernel_bench
 from .resilience import run_resilience_bench
 from .metrics import (
     TIMEOUT,
@@ -39,7 +38,7 @@ __all__ = [
     "fp_heavy_config", "generate",
     "generate_source", "measure_program", "ratio", "run_cascade_bench",
     "run_demand_bench",
-    "run_figure1", "run_kernel_bench",
+    "run_figure1",
     "run_parallel_bench", "run_resilience_bench", "run_table1",
     "run_taint_bench",
     "shape_report", "timed",

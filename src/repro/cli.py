@@ -47,6 +47,7 @@ from .core import (
     resolve_pointer,
     select_clusters,
 )
+from .core.parallel import BACKENDS
 from .errors import AnalysisBudgetExceeded
 from .ir import Loc, Program, Var
 
@@ -735,13 +736,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query the points-to set of a pointer")
     p.add_argument("--summaries", action="store_true",
                    help="precompute summaries for every cluster")
-    p.add_argument("--backend",
-                   choices=["simulate", "threads", "processes"],
-                   default="simulate",
+    p.add_argument("--backend", choices=BACKENDS, default="simulate",
                    help="how to execute the per-cluster analyses "
                         "(default: simulate, the paper's accounting)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker count for threads/processes backends "
+                   help="worker count for the processes backend "
                         "(default: --parts)")
     p.add_argument("--scheduler", choices=["greedy", "lpt"],
                    default="greedy",
@@ -916,11 +915,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N")
         p.add_argument("--cutshortcut", action="store_true")
         p.add_argument("--parts", type=int, default=5)
-        p.add_argument("--backend",
-                       choices=["simulate", "threads", "processes"],
-                       default="simulate",
+        p.add_argument("--backend", choices=BACKENDS, default="simulate",
                        help="how (re)analysis executes clusters "
-                            "(processes = the PR-2 worker pool)")
+                            "(processes = a worker process pool)")
         p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--scheduler", choices=["greedy", "lpt"],
                        default="greedy")

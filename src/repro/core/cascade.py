@@ -55,10 +55,6 @@ class CascadeConfig:
     refine_with_andersen: bool = True
     use_oneflow: bool = False
     oneflow_threshold: Optional[int] = None
-    cycle_elimination: bool = True
-    #: Solve the Andersen stage with the bitmask kernel backend
-    #: (``False`` = frozenset reference backend; identical results).
-    use_kernel: bool = True
     #: First-stage unification: ``"steensgaard"`` (classic) or
     #: ``"steensgaard_fs"`` (field-sensitive without oversharing —
     #: strictly finer partitions, same linear cost regime).
@@ -151,8 +147,6 @@ def run_cascade(program: Program,
                                relevant_statements(program, steens, g))
                     next_groups.extend(andersen_refine(
                         program, steens, g, g_slice,
-                        cycle_elimination=config.cycle_elimination,
-                        use_kernel=config.use_kernel,
                         transform=transform))
                     origin = "andersen"
                 else:

@@ -57,8 +57,6 @@ class Cluster:
 def andersen_refine(program: Program, steens: SteensgaardResult,
                     partition: FrozenSet[MemObject],
                     slice_: Optional[RelevantSlice] = None,
-                    cycle_elimination: bool = True,
-                    use_kernel: bool = True,
                     transform: Optional["CutShortcutTransform"] = None
                     ) -> List[FrozenSet[MemObject]]:
     """Split ``partition`` into Andersen clusters using only its slice.
@@ -77,9 +75,7 @@ def andersen_refine(program: Program, steens: SteensgaardResult,
             (loc, program.stmt_at(loc)) for loc in slice_.statements)
     else:
         stmts = [program.stmt_at(loc) for loc in slice_.statements]
-    result = Andersen(program, statements=stmts,
-                      cycle_elimination=cycle_elimination,
-                      use_kernel=use_kernel).run()
+    result = Andersen(program, statements=stmts).run()
     return _clusters_over(result.points_to_obj, partition)
 
 

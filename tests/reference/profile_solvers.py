@@ -1,19 +1,26 @@
 """Solver-kernel benchmark: bitmask kernels vs frozenset reference.
 
-PR 7 moved the Andersen worklist and the FSCI transfer functions onto
-int-bitmask kernels (:mod:`repro.analysis.kernel`) and interned the
-cluster-shipping payload (wire format, version 2).  This harness proves
-the speedup is real and keeps it from rotting:
+The production Andersen worklist and FSCI transfer functions run on
+int-bitmask kernels (:mod:`repro.analysis.kernel`), and cluster payloads
+ship in the interned wire format (version 2).  This harness times them
+against the frozenset oracles and the inline version-1 encoder kept in
+``tests/reference/``, proving the speedup is real and keeping it from
+rotting:
 
 * **andersen** — cold inclusion-based solve of the whole program,
-  kernel vs reference backend, results compared pointer-for-pointer.
+  kernel vs reference solver, results compared pointer-for-pointer.
 * **fsci** — cold whole-program flow-sensitive solve (the expensive
   stage; per-location abstract states are where masks beat frozensets),
   kernel vs reference, identical iteration counts and points-to
   summaries required.
 * **payload** — total serialized bytes of every bootstrap cluster
-  payload in the legacy inline format (version 1) vs the interned wire
-  format (version 2).
+  payload in the inline format (version 1) vs the interned wire format
+  (version 2).
+
+Run it from the repository root::
+
+    PYTHONPATH=src python -m tests.reference.profile_solvers \
+        --out BENCH_kernel.json
 
 Results go to ``BENCH_kernel.json``.  ``--gate`` re-runs the solver
 stages and fails if the kernel's *relative* cost regressed more than
@@ -32,12 +39,16 @@ import sys
 import time
 from typing import Any, Dict, Optional, Sequence
 
-from ..analysis import FSCI, Andersen
-from ..core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
-from ..core.shipping import build_payload
-from ..ir import CallGraph
-from .corpus import PAPER_TABLE1, build
-from .metrics import format_table
+from repro.analysis import FSCI, Andersen
+from repro.bench.corpus import PAPER_TABLE1, build
+from repro.bench.metrics import format_table
+from repro.core import BootstrapAnalyzer, BootstrapConfig, CascadeConfig
+from repro.core.shipping import build_payload
+from repro.ir import CallGraph
+
+from .andersen import reference_andersen_run
+from .fsci import reference_fsci_run
+from .payload_v1 import build_v1_payload
 
 #: Largest corpus program by the paper's pointer count (sendmail).
 LARGEST = max(PAPER_TABLE1, key=lambda r: r.pointers).name
@@ -66,10 +77,10 @@ def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
     stages: Dict[str, Dict[str, Any]] = {}
 
     t0 = time.perf_counter()
-    a_kernel = Andersen(program, use_kernel=True).run()
+    a_kernel = Andersen(program).run()
     t_ak = time.perf_counter() - t0
     t0 = time.perf_counter()
-    a_ref = Andersen(program, use_kernel=False).run()
+    a_ref = reference_andersen_run(Andersen(program))
     t_ar = time.perf_counter() - t0
     identical = all(a_kernel.points_to(p) == a_ref.points_to(p)
                     for p in program.pointers)
@@ -84,10 +95,10 @@ def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
               f"identical={identical})", file=sys.stderr)
 
     t0 = time.perf_counter()
-    f_kernel = FSCI(program, use_kernel=True).run()
+    f_kernel = FSCI(program).run()
     t_fk = time.perf_counter() - t0
     t0 = time.perf_counter()
-    f_ref = FSCI(program, use_kernel=False).run()
+    f_ref = reference_fsci_run(FSCI(program))
     t_fr = time.perf_counter() - t0
     identical = (f_kernel.iterations == f_ref.iterations
                  and all(f_kernel.points_to(p) == f_ref.points_to(p)
@@ -117,14 +128,15 @@ def run_kernel_bench(name: str = LARGEST, scale: float = 0.008,
         boot = BootstrapAnalyzer(program, config).run()
         callgraph = CallGraph(program)
         v1 = v2 = 0
-        cache: Dict[Any, Any] = {}
+        v1_cache: Dict[Any, Any] = {}
+        v2_cache: Dict[Any, Any] = {}
         for cluster in boot.clusters:
-            v1 += _payload_bytes(build_payload(
+            v1 += _payload_bytes(build_v1_payload(
                 program, cluster, callgraph=callgraph,
-                subprogram_cache=cache, compact=False))
+                subprogram_cache=v1_cache))
             v2 += _payload_bytes(build_payload(
                 program, cluster, callgraph=callgraph,
-                subprogram_cache=cache))
+                subprogram_cache=v2_cache))
         payload = {
             "clusters": len(boot.clusters),
             "v1_bytes": v1, "v2_bytes": v2,
@@ -151,7 +163,7 @@ def check_gate(current: Dict[str, Any], baseline: Dict[str, Any],
 
     The gate is relative: the kernel/reference time *ratio* must not
     grow more than ``tolerance`` beyond the baseline's, and every stage
-    must still produce results identical to the reference backend.
+    must still produce results identical to the reference solver.
     """
     failures = []
     for key in ("andersen", "fsci"):
@@ -203,7 +215,7 @@ def render(data: Dict[str, Any]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Profile bitmask solver kernels against the "
-                    "frozenset reference backends")
+                    "frozenset reference solvers")
     parser.add_argument("--program", default=LARGEST,
                         help=f"corpus program name (default {LARGEST}, "
                              "the largest)")

@@ -446,8 +446,7 @@ for cfg in corpus_configs(scale=%r):
         andersen_threshold=6, clustering="steensgaard_fs",
         cutshortcut=True))
     boot = BootstrapAnalyzer(program, config).run()
-    backends = (("simulate", {}), ("threads", {"jobs": 2}),
-                ("processes", {"jobs": 2})) \
+    backends = (("simulate", {}), ("processes", {"jobs": 2})) \
         if cfg.name == "ctrace" else (("simulate", {}),)
     for backend, kw in backends:
         report = boot.analyze_all(backend=backend, **kw)

@@ -3,9 +3,10 @@
 The kernels (:mod:`repro.analysis.kernel`) are pure representation: an
 int bitmask stands in for a frozenset of interned symbols.  These tests
 pin that claim three ways — random operation sequences against a plain
-``set`` reference model (hypothesis), kernel-vs-reference differentials
-over the Andersen and FSCI solvers on both hand-built and random
-programs, and hash-seed determinism for cluster emission.
+``set`` reference model (hypothesis), differentials of the Andersen and
+FSCI solvers against the frozenset oracles in ``tests/reference/`` on
+both hand-built and random programs, and hash-seed determinism for
+cluster emission.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import FSCI, Andersen
 from repro.analysis.kernel import BitSet, IntUnionFind, NodeTable, iter_bits, popcount
-from repro.bench.profile_solvers import check_gate, render, run_kernel_bench
 from repro.ir import AllocSite, Loc, Var
 
 from .helpers import (
@@ -34,6 +34,8 @@ from .helpers import (
     figure5_program,
     recursive_program,
 )
+from .reference import reference_andersen_run, reference_fsci_run
+from .reference.profile_solvers import check_gate, render, run_kernel_bench
 from .test_properties import programs
 
 #: Crosses the 64-bit machine-word boundary so multi-word masks are
@@ -192,8 +194,9 @@ ZOO = [figure2_program, figure3_program, figure4_program,
        call_chain_program]
 
 
-def _andersen_state(program, **kw):
-    result = Andersen(program, **kw).run()
+def _andersen_state(program, reference=False, **kw):
+    solver = Andersen(program, **kw)
+    result = reference_andersen_run(solver) if reference else solver.run()
     return ({p: result.points_to(p) for p in program.pointers},
             result.clusters(include_singletons=True))
 
@@ -203,24 +206,24 @@ class TestAndersenDifferential:
                              ids=[f.__name__ for f in ZOO])
     def test_zoo_bit_identical(self, factory):
         program = factory()
-        assert _andersen_state(program, use_kernel=True) == \
-            _andersen_state(program, use_kernel=False)
+        assert _andersen_state(program) == \
+            _andersen_state(program, reference=True)
         # Cycle elimination off exercises the no-collapse code path.
-        assert _andersen_state(program, use_kernel=True,
-                               cycle_elimination=False) == \
-            _andersen_state(program, use_kernel=False,
+        assert _andersen_state(program, cycle_elimination=False) == \
+            _andersen_state(program, reference=True,
                             cycle_elimination=False)
 
     @given(program=programs())
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_random_programs_bit_identical(self, program):
-        assert _andersen_state(program, use_kernel=True) == \
-            _andersen_state(program, use_kernel=False)
+        assert _andersen_state(program) == \
+            _andersen_state(program, reference=True)
 
 
-def _fsci_state(program, use_kernel):
-    result = FSCI(program, use_kernel=use_kernel).run()
+def _fsci_state(program, reference):
+    solver = FSCI(program)
+    result = reference_fsci_run(solver) if reference else solver.run()
     state = {"iterations": result.iterations,
              "summary": {p: result.points_to(p)
                          for p in program.pointers}}
@@ -246,14 +249,14 @@ class TestFSCIDifferential:
                              ids=[f.__name__ for f in ZOO])
     def test_zoo_bit_identical(self, factory):
         program = factory()
-        assert _fsci_state(program, True) == _fsci_state(program, False)
+        assert _fsci_state(program, False) == _fsci_state(program, True)
 
     @pytest.mark.parametrize("factory", ZOO[:3],
                              ids=[f.__name__ for f in ZOO[:3]])
     def test_pairwise_accessors_agree(self, factory):
         program = factory()
-        kern = FSCI(program, use_kernel=True).run()
-        ref = FSCI(program, use_kernel=False).run()
+        kern = FSCI(program).run()
+        ref = reference_fsci_run(FSCI(program))
         ptrs = sorted(program.pointers, key=str)
         for fname, fn in program.functions.items():
             for idx in fn.cfg.nodes():
@@ -272,7 +275,7 @@ class TestFSCIDifferential:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_random_programs_bit_identical(self, program):
-        assert _fsci_state(program, True) == _fsci_state(program, False)
+        assert _fsci_state(program, False) == _fsci_state(program, True)
 
 
 _CLUSTER_SCRIPT = """
@@ -309,8 +312,8 @@ class TestClusterDeterminism:
 
     def test_kernel_and_reference_emit_same_clusters(self):
         program = figure5_program()
-        kern = Andersen(program, use_kernel=True).run()
-        ref = Andersen(program, use_kernel=False).run()
+        kern = Andersen(program).run()
+        ref = reference_andersen_run(Andersen(program))
         assert kern.clusters(include_singletons=True) == \
             ref.clusters(include_singletons=True)
         assert kern.clusters(include_singletons=False) == \

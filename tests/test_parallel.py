@@ -14,7 +14,7 @@ from repro.core import (
     lpt_parts,
     schedule_indices,
 )
-from repro.core.parallel import greedy_index_parts, lpt_index_parts
+from repro.core.parallel import BACKENDS, greedy_index_parts, lpt_index_parts
 from repro.ir import Var
 
 from .helpers import figure5_program
@@ -143,17 +143,11 @@ class TestLptProperties:
 class TestParallelRunner:
     def test_simulated_run(self):
         clusters = make_clusters([2, 3, 4])
-        runner = ParallelRunner(parts=2, simulate=True)
+        runner = ParallelRunner(parts=2)
         report = runner.run(clusters, lambda c: c.size)
         assert sorted(report.results) == [2, 3, 4]
         assert len(report.cluster_times) == 3
         assert report.max_part_time <= report.total_time + 1e-9
-
-    def test_threaded_run(self):
-        clusters = make_clusters([2, 3, 4, 5])
-        runner = ParallelRunner(parts=2, simulate=False)
-        report = runner.run(clusters, lambda c: c.size * 10)
-        assert sorted(report.results) == [20, 30, 40, 50]
 
     def test_results_order_matches_clusters(self):
         clusters = make_clusters([1, 2, 3])
@@ -172,7 +166,7 @@ class TestParallelRunner:
             calls.append(cluster)
             return len(calls)
 
-        runner = ParallelRunner(parts=2, simulate=True)
+        runner = ParallelRunner(parts=2)
         report = runner.run([c, c], task)
         assert report.results == [1, 2]
         assert calls == [c, c]
@@ -194,13 +188,15 @@ class TestParallelRunner:
             runner.run(make_clusters([1]), lambda c: c.size)
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(backend="mpi")
+        assert BACKENDS == ("simulate", "processes")
+        for backend in ("mpi", "threads"):
+            with pytest.raises(ValueError):
+                ParallelRunner(backend=backend)
 
     def test_integration_with_bootstrap(self):
         prog = figure5_program()
         boot = BootstrapAnalyzer(prog).run()
-        report = boot.analyze_all(simulate=False)
+        report = boot.analyze_all()
         assert all(isinstance(r, dict) for r in report.results)
 
 

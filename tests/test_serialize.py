@@ -260,27 +260,29 @@ class TestWireFormat:
 
 
 class TestPayloadSizeRegression:
-    """Satellite: the interned sendmail payload must be *strictly
-    smaller* than the PR-2 inline format, and decode node-for-node
-    identical."""
+    """The interned sendmail payload must be *strictly smaller* than the
+    inline version-1 format (rebuilt by ``tests/reference/``), and
+    decode node-for-node identical."""
 
     def _payloads(self):
         from repro.bench import build
         from repro.core import BootstrapConfig, CascadeConfig
         from repro.core.shipping import build_payload
         from repro.ir import CallGraph
+
+        from .reference import build_v1_payload
         program = build("sendmail", scale=0.004).program
         config = BootstrapConfig(
             cascade=CascadeConfig(andersen_threshold=6))
         boot = BootstrapAnalyzer(program, config).run()
         callgraph = CallGraph(program)
-        cache = {}
+        v1_cache, v2_cache = {}, {}
         pairs = []
         for cluster in boot.clusters:
-            v1 = build_payload(program, cluster, callgraph=callgraph,
-                               subprogram_cache=cache, compact=False)
+            v1 = build_v1_payload(program, cluster, callgraph=callgraph,
+                                  subprogram_cache=v1_cache)
             v2 = build_payload(program, cluster, callgraph=callgraph,
-                               subprogram_cache=cache)
+                               subprogram_cache=v2_cache)
             pairs.append((v1, v2))
         return pairs
 
@@ -295,6 +297,8 @@ class TestPayloadSizeRegression:
             payload_cluster,
             payload_program,
         )
+
+        from .reference import v1_cluster, v1_fsci_fingerprint, v1_program
         pairs = self._payloads()
         assert pairs
         groups_v1, groups_v2 = {}, {}
@@ -304,10 +308,10 @@ class TestPayloadSizeRegression:
             # Node-for-node identical decode through a real JSON hop.
             hop = json.loads(json.dumps(v2))
             assert format_program(payload_program(hop)) == \
-                format_program(payload_program(v1))
-            assert payload_cluster(hop) == payload_cluster(v1)
+                format_program(v1_program(v1))
+            assert payload_cluster(hop) == v1_cluster(v1)
             assert v2["config"] == v1["config"]
-            groups_v1.setdefault(_fsci_fingerprint(v1), []).append(i)
+            groups_v1.setdefault(v1_fsci_fingerprint(v1), []).append(i)
             groups_v2.setdefault(_fsci_fingerprint(v2), []).append(i)
         # Sibling sub-clusters share worker-side FSCI runs; the interned
         # format must preserve exactly that grouping.
