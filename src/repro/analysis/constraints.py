@@ -60,6 +60,24 @@ Constraint = FrozenSet[Atom]
 TRUE: Constraint = frozenset()
 
 
+def _object_key(obj: MemObject) -> Tuple:
+    if isinstance(obj, Var):
+        return (0, obj.name, obj.function is not None, obj.function or "")
+    return (1, obj.label)
+
+
+def atom_key(atom: Atom) -> Tuple:
+    """Sort key of an atom: the dataclass field order, made total.
+
+    It agrees with ``Atom``'s own ordering wherever that is defined;
+    the dataclass order raises ``TypeError`` on a global and a local of
+    the same name (``None`` vs a function name) and on a variable vs an
+    allocation site, which this key orders (globals first, variables
+    before allocation sites)."""
+    return (atom.kind, atom.loc.function, atom.loc.index,
+            _object_key(atom.r), _object_key(atom.s), atom.positive)
+
+
 def points_to_atom(loc: Loc, r: Var, s: MemObject, positive: bool = True) -> Atom:
     return Atom(POINTS_TO, loc, r, s, positive)
 
@@ -87,28 +105,36 @@ def conjoin(cond: Constraint, atom: Atom,
     here was a soundness bug our fuzzing caught: a cell written on the
     second of two calls to the same function lost its update.)
 
-    When the conjunction would exceed ``max_atoms`` the oldest atoms are
-    dropped — weakening a condition only admits more aliases, which is
-    the sound direction for a may analysis (documented cap; the paper
-    suggests BDDs for the same growth problem).
+    When the conjunction would exceed ``max_atoms`` atoms, the result
+    is ``atom`` plus the ``max_atoms - 1`` smallest other atoms of
+    ``cond`` in :func:`atom_key` order (a frozenset has no age, so "keep
+    the newest" means keep ``atom``).  Weakening a condition only admits
+    more aliases, which is the sound direction for a may analysis
+    (documented cap; the paper suggests BDDs for the same growth
+    problem).
 
     The ``Optional`` return type is kept for future refinements that can
-    prove single-visit locations; current callers handle ``None``.
+    prove single-visit locations; today the result is never ``None``.
     """
     out = cond | {atom}
     if max_atoms is not None and len(out) > max_atoms:
-        out = frozenset(sorted(out)[:max_atoms])
+        out = frozenset(sorted(out, key=atom_key)[:max_atoms])
         if atom not in out:
-            out = frozenset(list(sorted(out))[: max_atoms - 1] + [atom])
+            out = frozenset(sorted(out, key=atom_key)[: max_atoms - 1]
+                            + [atom])
     return out
 
 
 def merge(a: Constraint, b: Constraint,
           max_atoms: Optional[int] = None) -> Optional[Constraint]:
     """Conjunction of two constraints (see :func:`conjoin` on why
-    syntactic contradictions survive)."""
+    syntactic contradictions survive).
+
+    Under the cap the result depends on the order ``b``'s atoms are
+    conjoined in, so they go in :func:`atom_key` order, never set
+    order: set order follows the hash seed."""
     out: Optional[Constraint] = a
-    for atom in b:
+    for atom in sorted(b, key=atom_key):
         out = conjoin(out, atom, max_atoms)
         if out is None:
             return None
@@ -154,4 +180,4 @@ class SatOracle:
 def format_constraint(cond: Constraint) -> str:
     if not cond:
         return "true"
-    return " ∧ ".join(str(a) for a in sorted(cond))
+    return " ∧ ".join(str(a) for a in sorted(cond, key=atom_key))

@@ -21,11 +21,25 @@ These are exactly the paper's summary tuples ``(p, exit_f, q, cond)``;
 :meth:`SummaryEngine.backward_from` provides the same for arbitrary
 interior locations, which is what alias queries use.
 
-Recursion is handled by a demand-driven monotone fixpoint over
-``(function, term)`` keys with dependency tracking — the effect of the
-paper's reverse-topological SCC processing, computed on demand.
-Constraint growth is capped (see :mod:`.constraints`); capping only
-weakens conditions, which over-approximates — the sound direction.
+Summaries are built callee-first, the paper's reverse-topological
+order over call-graph SCCs computed on demand: a walk that reaches a
+callee key not solved yet suspends, the callee is solved on an explicit
+stack (no Python recursion, so deep call chains are fine), and the walk
+resumes.  Only a recursive call — a key already on the stack — is read
+at its current, partial value; the reader is recorded as a dependent and
+re-walked when that value grows, until the SCC reaches its monotone
+fixpoint.  Constraint growth is capped (see :mod:`.constraints`);
+capping only weakens conditions, which over-approximates — the sound
+direction.
+
+The engine runs on dense ids, like the Andersen and FSCI kernels
+(:mod:`.kernel`): terms, atoms and constraints are interned to ints,
+``conjoin``/``merge``/satisfiability are memoized per id, each
+statement's inverse transfer is compiled once per function and its
+per-term continuations once per node, and points-to facts are read as
+FSCI masks.  The public methods decode to the same frozensets of
+``(Term, Constraint)`` the dataclass engine returned (that engine lives
+on in ``tests/reference/summaries.py`` as the differential oracle).
 """
 
 from __future__ import annotations
@@ -43,7 +57,6 @@ from ..ir import (
     Copy,
     Load,
     Loc,
-    MemObject,
     NullAssign,
     Program,
     Statement,
@@ -52,6 +65,7 @@ from ..ir import (
 )
 from .constraints import (
     TRUE,
+    Atom,
     Constraint,
     SatOracle,
     conjoin,
@@ -62,6 +76,7 @@ from .constraints import (
     same_object_atom,
 )
 from .fsci import FSCIResult
+from .kernel import NodeTable
 
 
 class Term:
@@ -141,6 +156,74 @@ class SummaryTuple:
                 f"{format_constraint(self.cond)})")
 
 
+# -- the dense encoding ----------------------------------------------------
+#
+# A term id is ``(object id << _KIND_BITS) | kind``, the object id coming
+# from the engine's NodeTable (NULL and "?" carry object id 0).  The
+# terminal kinds are exactly those with a bit of ``_TERMINAL`` set.  A
+# constraint id indexes the engine's table of distinct constraints; 0 is
+# TRUE.
+#
+# A summary entry ``(term, cond)`` is the int ``cond id << _TERM_BITS |
+# term id`` (term ids stay below 2**32 while a cluster has fewer than
+# 2**29 objects), and a walk item is ``entry << node bits | CFG node``:
+# the walk's sets and the summaries hold plain ints, which neither hash
+# through Python code nor count toward the garbage collector.
+
+_OBJ, _DEREF, _ADDR, _NULL, _UNKNOWN = range(5)
+_KIND_BITS = 3
+_KIND_MASK = (1 << _KIND_BITS) - 1
+_TERMINAL = 0b110
+_TERM_BITS = 32
+_TERM_MASK = (1 << _TERM_BITS) - 1
+
+# Opcodes of the compiled inverse transfers; a skip compiles to None.
+_CALL, _ASSUME, _WRITE, _STORE = range(4)
+
+#: A (function, term id) summary key.
+_Key = Tuple[str, int]
+#: One node's continuations for one term: (term id, atom ids to conjoin).
+_Template = Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+
+class _Function:
+    """One function's CFG compiled for the backward walk."""
+
+    __slots__ = ("name", "ops", "preds", "entry", "exit", "node_bits")
+
+    def __init__(self, name: str, ops: List[Optional[tuple]],
+                 preds: List[Tuple[int, ...]], entry: int,
+                 exit_node: int) -> None:
+        self.name = name
+        #: Per node: None (a skip) or ``(opcode, operands...)``; writes
+        #: and stores end in their memo of term id -> template.
+        self.ops = ops
+        self.preds = preds
+        self.entry = entry
+        self.exit = exit_node
+        self.node_bits = len(ops).bit_length()
+
+
+class _Walk:
+    """One backward walk (Algorithm 5's worklist).  It outlives a
+    suspension: when it reaches a callee key that is not solved yet, the
+    pending item goes back on ``work`` and the walk resumes once the
+    callee is solved."""
+
+    __slots__ = ("key", "fn", "work", "seen", "results", "requested")
+
+    def __init__(self, key: Optional[_Key], fn: _Function,
+                 requested: Optional[Set[_Key]]) -> None:
+        self.key = key
+        self.fn = fn
+        self.work: List[int] = []
+        self.seen: Set[int] = set()
+        self.results: Set[int] = set()
+        #: Callee keys read so far (exit-summary walks only), so that
+        #: each is registered as a dependency once.
+        self.requested = requested
+
+
 class SummaryEngine:
     """Backward interprocedural summary computation for one cluster.
 
@@ -182,10 +265,30 @@ class SummaryEngine:
         self.deadline = deadline
         self.steps = 0
         self._callgraph = callgraph or CallGraph(program)
-        self._summaries: Dict[Tuple[str, Term], FrozenSet[SummaryEntry]] = {}
-        self._deps: Dict[Tuple[str, Term], Set[Tuple[str, Term]]] = {}
-        self._done: Set[Tuple[str, Term]] = set()
         self._transparent = self._compute_transparent()
+        self._functions: Dict[str, _Function] = {}
+        self._relevant_at: Optional[Dict[str, Set[int]]] = None
+        if relevant is not None:
+            self._relevant_at = {}
+            for loc in relevant:
+                self._relevant_at.setdefault(loc.function, set()).add(
+                    loc.index)
+        # Intern tables.
+        self._objects = NodeTable()
+        self._terms: Dict[int, Term] = {}
+        self._atom_ids: Dict[Atom, int] = {}
+        self._atoms: List[Atom] = []
+        self._cons_ids: Dict[Constraint, int] = {}
+        self._cons: List[Constraint] = []
+        self._cons_sat: List[bool] = []
+        self._conj: List[Dict[int, int]] = []
+        self._merges: List[Dict[int, int]] = []
+        self._constraint_id(TRUE)
+        # Fixpoint state: the solved keys' entries, the keys whose walks
+        # are on the stack, and (during a solve) who read which key.
+        self._summaries: Dict[_Key, FrozenSet[int]] = {}
+        self._active: Set[_Key] = set()
+        self._deps: Dict[_Key, Dict[_Key, None]] = {}
 
     # ------------------------------------------------------------------
     # transparency: functions that cannot touch the cluster at all
@@ -216,11 +319,10 @@ class SummaryEngine:
             return frozenset({(term, TRUE)})
         if self.is_transparent(func):
             return frozenset({(term, TRUE)})
-        key = (func, term)
-        if key in self._done:
-            return self._summaries[key]
-        self._fixpoint(key)
-        return self._summaries[key]
+        key = (func, self._term_id(term))
+        if key not in self._summaries:
+            self._solve(key)
+        return self._decode(self._summaries[key])
 
     def function_summary(self, func: str,
                          pointers: Iterable[Var]) -> List[SummaryTuple]:
@@ -244,288 +346,327 @@ class SummaryEngine:
         terminals."""
         if term.is_terminal and not self.path_sensitive:
             return frozenset({(term, cond)})
-        cfg = self.program.cfg_of(loc.function)
+        fn = self._function(loc.function)
         if after:
-            starts = [(loc.index, term, cond)]
+            starts: Iterable[int] = (loc.index,)
         else:
-            starts = [(p, term, cond) for p in cfg.predecessors(loc.index)]
-            if loc.index == cfg.entry:
+            if loc.index == fn.entry:
                 return frozenset({(term, cond)})
-        return self._walk(loc.function, starts)
+            starts = fn.preds[loc.index]
+        walk = _Walk(None, fn, None)
+        entry = self._constraint_id(cond) << _TERM_BITS | self._term_id(term)
+        for node in starts:
+            self._push(walk, node, entry)
+        need = self._run(walk)
+        while need is not None:
+            self._solve(need)
+            need = self._run(walk)
+        return self._decode(walk.results)
 
     # ------------------------------------------------------------------
-    # fixpoint driver
+    # callee-first fixpoint
     # ------------------------------------------------------------------
-    def _fixpoint(self, root: Tuple[str, Term]) -> None:
-        worklist: List[Tuple[str, Term]] = [root]
-        queued = {root}
-        while worklist:
-            key = worklist.pop()
-            queued.discard(key)
-            old = self._summaries.get(key, frozenset())
-            self._summaries.setdefault(key, frozenset())
-            self._done.add(key)
-            requested: Set[Tuple[str, Term]] = set()
-            new = self._compute_exit(key, requested)
-            for req in requested:
-                self._deps.setdefault(req, set()).add(key)
-                if req not in self._done and req not in queued:
-                    worklist.append(req)
-                    queued.add(req)
-            if new != old:
-                self._summaries[key] = new | old
-                for dep in self._deps.get(key, ()):
-                    if dep not in queued:
-                        worklist.append(dep)
-                        queued.add(dep)
+    def _solve(self, root: _Key) -> None:
+        """Solve ``root`` and every key it needs, callees first.
 
-    def _compute_exit(self, key: Tuple[str, Term],
-                      requested: Set[Tuple[str, Term]]) -> FrozenSet[SummaryEntry]:
-        func, term = key
-        cfg = self.program.cfg_of(func)
-        return self._walk(func, [(cfg.exit, term, TRUE)], requested)
+        Walks sit on an explicit stack; the top one runs until it ends
+        or reaches an unsolved callee, whose walk is pushed above it.
+        When a key's value grows, its readers (recorded as they read)
+        become stale and are re-walked before the walk below resumes;
+        a stale key that is still on the stack waits until it leaves
+        it.  Stale keys are taken in the order they went stale, so the
+        step count does not depend on the hash seed.  When the stack
+        empties every key reached is final, so the reader lists go.  If
+        a walk raises (budget or deadline), every key this call started
+        is forgotten, so the engine never serves a partial summary."""
+        summaries, deps, active = self._summaries, self._deps, self._active
+        stale: Dict[_Key, None] = {}
+        opened: List[_Key] = []
+        stack = [self._open(root, opened)]
+        try:
+            while stack:
+                walk = stack[-1]
+                need = self._run(walk)
+                if need is not None:
+                    stack.append(self._open(need, opened))
+                    continue
+                stack.pop()
+                key = walk.key
+                active.discard(key)
+                new = frozenset(walk.results)
+                old = summaries.get(key)
+                if old is None:
+                    summaries[key] = new
+                    grew = bool(new)
+                else:
+                    grew = not new <= old
+                    if grew:
+                        summaries[key] = new | old
+                if grew:
+                    for reader in deps.get(key, ()):
+                        stale[reader] = None
+                for reader in stale:
+                    if reader not in active:
+                        del stale[reader]
+                        stack.append(self._open(reader, opened))
+                        break
+        except BaseException:
+            for key in opened:
+                summaries.pop(key, None)
+            active.clear()
+            raise
+        finally:
+            deps.clear()
+
+    def _open(self, key: _Key, opened: List[_Key]) -> _Walk:
+        """A walk of ``key``'s exit summary, marked active."""
+        func, t = key
+        fn = self._function(func)
+        walk = _Walk(key, fn, set())
+        self._push(walk, fn.exit, t)  # (t, TRUE): constraint id 0
+        if key not in self._summaries:
+            opened.append(key)
+        self._active.add(key)
+        return walk
 
     # ------------------------------------------------------------------
     # the backward walk (Algorithm 5's worklist, intraprocedural steps)
     # ------------------------------------------------------------------
-    def _walk(self, func: str,
-              starts: List[Tuple[int, Term, Constraint]],
-              requested: Optional[Set[Tuple[str, Term]]] = None
-              ) -> FrozenSet[SummaryEntry]:
-        cfg = self.program.cfg_of(func)
-        results: Set[SummaryEntry] = set()
-        processed: Set[Tuple[int, Term, Constraint]] = set()
-        work: List[Tuple[int, Term, Constraint]] = []
+    def _push(self, walk: _Walk, node: int, entry: int) -> None:
+        if entry & _TERMINAL and not self.path_sensitive:
+            # Resolved value: nothing before can change it.  With path
+            # sensitivity on we keep walking to collect the branch
+            # constraints that gate this path segment.
+            walk.results.add(entry)
+            return
+        item = entry << walk.fn.node_bits | node
+        if item not in walk.seen:
+            walk.seen.add(item)
+            walk.work.append(item)
 
-        def push(node: int, term: Term, cond: Constraint) -> None:
-            if term.is_terminal and not self.path_sensitive:
-                # Resolved value: nothing before can change it.  With
-                # path sensitivity on we keep walking to collect the
-                # branch constraints that gate this path segment.
-                results.add((term, cond))
-                return
-            item = (node, term, cond)
-            if item not in processed:
-                processed.add(item)
-                work.append(item)
-
-        for node, term, cond in starts:
-            push(node, term, cond)
-
-        while work:
-            self.steps += 1
-            if self.budget is not None and self.steps > self.budget:
-                raise AnalysisBudgetExceeded("summary-engine", self.steps)
-            if self.deadline is not None and self.steps % 256 == 0 \
-                    and time.monotonic() > self.deadline:
-                raise AnalysisBudgetExceeded("summary-engine", self.steps)
-            node, term, cond = work.pop()
-            loc = Loc(func, node)
-            stmt = cfg.stmt(node)
-            conts = self._inverse(loc, stmt, term, cond, requested)
-            for t, c in conts:
-                if not self.sat.satisfiable(c):
-                    continue
-                if t.is_terminal and not self.path_sensitive:
-                    results.add((t, c))
-                elif node == cfg.entry:
-                    results.add((t, c))
+    def _run(self, walk: _Walk) -> Optional[_Key]:
+        """Run ``walk`` to its end (``None``), or up to a call whose
+        callee key is neither solved nor on the stack (that key)."""
+        fn = walk.fn
+        ops, preds, entry_node = fn.ops, fn.preds, fn.entry
+        bits = fn.node_bits
+        node_mask = (1 << bits) - 1
+        work, seen, results = walk.work, walk.seen, walk.results
+        requested, reader = walk.requested, walk.key
+        keep_terminals = self.path_sensitive
+        cons_sat, conj = self._cons_sat, self._conj
+        summaries, active = self._summaries, self._active
+        budget, deadline = self.budget, self.deadline
+        terminal, term_bits, term_mask = _TERMINAL, _TERM_BITS, _TERM_MASK
+        steps = self.steps
+        try:
+            while work:
+                item = work.pop()
+                node = item & node_mask
+                entry = item >> bits
+                op = ops[node]
+                if op is None:
+                    conts: Iterable[int] = (entry,)
                 else:
-                    preds = cfg.predecessors(node)
-                    if not preds:
-                        results.add((t, c))
-                    for pred in preds:
-                        push(pred, t, c)
-        return frozenset(results)
+                    code, t = op[0], entry & term_mask
+                    if t & terminal and code != _ASSUME:
+                        # A resolved value only collects branch constraints.
+                        conts = (entry,)
+                    elif code == _CALL:
+                        # Algorithm 5 lines 9-18: splice callee summaries,
+                        # once every callee key is solved or on the stack.
+                        for g in op[1]:
+                            key = (g, t)
+                            if key not in summaries and key not in active:
+                                work.append(item)
+                                return key
+                        c = entry >> term_bits
+                        conts = [entry] if op[2] else []
+                        for g in op[1]:
+                            key = (g, t)
+                            if requested is not None \
+                                    and key not in requested:
+                                requested.add(key)
+                                self._deps.setdefault(key, {})[reader] = None
+                            for e in summaries.get(key, ()):
+                                c2 = e >> term_bits
+                                if c2:
+                                    c2 = self._merge(c, c2)
+                                else:
+                                    c2 = c
+                                conts.append(c2 << term_bits | e & term_mask)
+                    elif code == _ASSUME:
+                        # Path sensitivity (paper Section 3): record the
+                        # branching constraint; the FSCI-backed oracle
+                        # weeds out infeasible tuples.
+                        c = entry >> term_bits
+                        c2 = conj[c].get(op[1])
+                        if c2 is None:
+                            c2 = self._conjoin(c, op[1])
+                        conts = (c2 << term_bits | t,)
+                    else:
+                        memo = op[3]
+                        template = memo.get(t)
+                        if template is None:
+                            template = memo[t] = self._template(fn, node, t)
+                        c = entry >> term_bits
+                        conts = []
+                        for t2, atoms in template:
+                            c2 = c
+                            for a in atoms:
+                                c3 = conj[c2].get(a)
+                                c2 = self._conjoin(c2, a) if c3 is None \
+                                    else c3
+                            conts.append(c2 << term_bits | t2)
+                steps += 1
+                if budget is not None and steps > budget:
+                    raise AnalysisBudgetExceeded("summary-engine", steps)
+                if deadline is not None and steps % 256 == 0 \
+                        and time.monotonic() > deadline:
+                    raise AnalysisBudgetExceeded("summary-engine", steps)
+                for e in conts:
+                    if not cons_sat[e >> term_bits]:
+                        continue
+                    if node == entry_node \
+                            or e & terminal and not keep_terminals:
+                        results.add(e)
+                        continue
+                    ps = preds[node]
+                    if not ps:
+                        results.add(e)
+                    e <<= bits
+                    for p in ps:
+                        nxt = e | p
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            work.append(nxt)
+            return None
+        finally:
+            self.steps = steps
 
     # ------------------------------------------------------------------
-    # Algorithm 4: inverse transfer of one statement over a term
+    # compiling statements
     # ------------------------------------------------------------------
-    def _inverse(self, loc: Loc, stmt: Statement, term: Term,
-                 cond: Constraint,
-                 requested: Optional[Set[Tuple[str, Term]]]
-                 ) -> List[SummaryEntry]:
-        if term.is_terminal and not isinstance(stmt, Assume):
-            # A resolved value only collects branch constraints.
-            return [(term, cond)]
+    def _function(self, func: str) -> _Function:
+        fn = self._functions.get(func)
+        if fn is None:
+            cfg = self.program.cfg_of(func)
+            relevant = None
+            if self._relevant_at is not None:
+                relevant = self._relevant_at.get(func, ())
+            fn = _Function(
+                func, [self._compile(func, node, stmt, relevant)
+                       for node, stmt in cfg.statements()],
+                [cfg.predecessors(node) for node in cfg.nodes()],
+                cfg.entry, cfg.exit)
+            self._functions[func] = fn
+        return fn
+
+    def _compile(self, func: str, node: int, stmt: Statement,
+                 relevant: Optional[Iterable[int]]) -> Optional[tuple]:
+        """``stmt``'s inverse transfer as ``(opcode, operands...)``, or
+        ``None`` when it passes every term through unchanged."""
+        if stmt.is_pointer_assign:
+            if relevant is not None and node not in relevant:
+                # Outside St_P the reduced program executes a skip.
+                return None
+            intern = self._objects.intern
+            if isinstance(stmt, Copy):
+                value = _tid(intern(stmt.rhs), _OBJ)
+            elif isinstance(stmt, AddrOf):
+                value = _tid(intern(stmt.target), _ADDR)
+            elif isinstance(stmt, Load):
+                value = _tid(intern(stmt.rhs), _DEREF)
+            elif isinstance(stmt, NullAssign):
+                value = _NULL
+            elif isinstance(stmt, Store):
+                return (_STORE, intern(stmt.lhs), intern(stmt.rhs), {})
+            else:
+                return None
+            return (_WRITE, intern(stmt.lhs), value, {})
         if isinstance(stmt, CallStmt):
-            return self._inverse_call(stmt, term, cond, requested)
-        if isinstance(stmt, Assume):
-            # Path sensitivity (paper Section 3): record the branching
-            # constraint; the FSCI-backed oracle weeds out infeasible
-            # tuples at satisfiability-check time.
-            if not self.path_sensitive:
-                return [(term, cond)]
+            targets = [g for g in stmt.targets if g in self.program.functions]
+            solved = tuple(g for g in targets if not self.is_transparent(g))
+            if not solved:
+                return None
+            return (_CALL, solved, len(solved) < len(targets))
+        if isinstance(stmt, Assume) and self.path_sensitive:
+            loc = Loc(func, node)
             if stmt.rhs is None:
                 atom = null_atom(loc, stmt.lhs, stmt.equal)
             else:
                 atom = same_object_atom(loc, stmt.lhs, stmt.rhs, stmt.equal)
-            refined = conjoin(cond, atom, self.max_cond_atoms)
-            return [(term, refined)] if refined is not None else []
-        if not stmt.is_pointer_assign:
-            return [(term, cond)]
-        if self.relevant is not None and loc not in self.relevant:
-            # Outside St_P the reduced program executes a skip.
-            return [(term, cond)]
-        if isinstance(stmt, Copy):
-            return self._inverse_write(loc, stmt.lhs, ObjTerm(stmt.rhs),
-                                       term, cond)
-        if isinstance(stmt, AddrOf):
-            return self._inverse_write(loc, stmt.lhs, AddrTerm(stmt.target),
-                                       term, cond)
-        if isinstance(stmt, Load):
-            return self._inverse_write(loc, stmt.lhs, DerefTerm(stmt.rhs),
-                                       term, cond)
-        if isinstance(stmt, NullAssign):
-            return self._inverse_write(loc, stmt.lhs, NullTerm(), term, cond)
-        if isinstance(stmt, Store):
-            return self._inverse_store(loc, stmt.lhs, stmt.rhs, term, cond)
-        return [(term, cond)]
+            return (_ASSUME, self._atom_id(atom))
+        return None
 
-    def _inverse_write(self, loc: Loc, lhs: Var, value: Term,
-                       term: Term, cond: Constraint) -> List[SummaryEntry]:
+    # ------------------------------------------------------------------
+    # Algorithm 4: inverse transfer of one statement over a term
+    # ------------------------------------------------------------------
+    def _template(self, fn: _Function, node: int, t: int) -> _Template:
+        """The continuations of non-terminal term ``t`` across the write
+        or store at ``node``; the same for every constraint."""
+        op, loc = fn.ops[node], Loc(fn.name, node)
+        if op[0] == _WRITE:
+            return self._inverse_write(loc, op[1], op[2], t)
+        return self._inverse_store(loc, op[1], op[2], t)
+
+    def _inverse_write(self, loc: Loc, lhs: int, value: int,
+                       t: int) -> _Template:
         """Inverse of a direct write ``lhs = <value>`` (Algorithm 4's
         "r is a pointer variable" arm)."""
-        if isinstance(term, ObjTerm):
-            if term.obj == lhs:
-                return [(value, cond)]
-            return [(term, cond)]
-        assert isinstance(term, DerefTerm)
-        s = term.var
+        obj = t >> _KIND_BITS
+        if t & _KIND_MASK == _OBJ:
+            return ((value if obj == lhs else t, ()),)
+        s = obj  # t is *s
         if s == lhs:
             # The cell *s names changes identity across this statement:
             # after it, s holds <value>, so *s is the content of the cell
             # behind <value> — evaluated AFTER the statement, because the
             # statement may have written that very cell (s = &s etc.).
-            return self._deref_after_write(loc, lhs, value, cond)
+            return self._deref_after_write(loc, lhs, value)
         # The write may also have landed in the cell s points to, iff
         # s -> lhs at this point (Algorithm 4 lines 10-18).
-        pts_s = self._pts_before(loc, s)
-        if pts_s is not None and lhs not in pts_s:
-            return [(term, cond)]
-        out: List[SummaryEntry] = []
-        hit = conjoin(cond, points_to_atom(loc, s, lhs, True),
-                      self.max_cond_atoms)
-        if hit is not None:
-            out.append((value, hit))
-        miss = conjoin(cond, points_to_atom(loc, s, lhs, False),
-                       self.max_cond_atoms)
-        if miss is not None:
-            out.append((term, miss))
-        return out
+        if self.fsci is not None \
+                and not self._holds(self._mask_before(loc, s), lhs):
+            return ((t, ()),)
+        return ((value, (self._pt_atom(loc, s, lhs, True),)),
+                (t, (self._pt_atom(loc, s, lhs, False),)))
 
-    def _inverse_store(self, loc: Loc, u: Var, t: Var,
-                       term: Term, cond: Constraint) -> List[SummaryEntry]:
-        """Inverse of ``*u = t`` (Algorithm 4's "r is of the form ~u")."""
-        value = ObjTerm(t)
-        if isinstance(term, ObjTerm):
-            v = term.obj
-            pts_u = self._pts_before(loc, u)
-            if pts_u is not None and v not in pts_u:
-                return [(term, cond)]
-            out: List[SummaryEntry] = []
-            hit = conjoin(cond, points_to_atom(loc, u, v, True),
-                          self.max_cond_atoms)
-            if hit is not None:
-                out.append((value, hit))
-            miss = conjoin(cond, points_to_atom(loc, u, v, False),
-                           self.max_cond_atoms)
-            if miss is not None:
-                out.append((term, miss))
-            return out
-        assert isinstance(term, DerefTerm)
-        s = term.var
+    def _inverse_store(self, loc: Loc, u: int, rhs: int,
+                       t: int) -> _Template:
+        """Inverse of ``*u = rhs`` (Algorithm 4's "r is of the form ~u")."""
+        value = _tid(rhs, _OBJ)
+        obj = t >> _KIND_BITS
+        if t & _KIND_MASK == _OBJ:
+            v = obj
+            if self.fsci is not None \
+                    and not self._holds(self._mask_before(loc, u), v):
+                return ((t, ()),)
+            return ((value, (self._pt_atom(loc, u, v, True),)),
+                    (t, (self._pt_atom(loc, u, v, False),)))
+        s = obj  # t is *s
         if s == u:
-            return [(value, cond)]
-        out: List[SummaryEntry] = []
+            return ((value, ()),)
+        out: List[Tuple[int, Tuple[int, ...]]] = []
         # The store may overwrite the *base* variable s itself (when u
         # points to s), changing which cell *s denotes; resolve that
         # branch through FSCI at the after-state (fully conservative).
-        pts_u = self._pts_before(loc, u)
-        base_cond: Optional[Constraint] = cond
-        if pts_u is None or s in pts_u:
-            hit = conjoin(cond, points_to_atom(loc, u, s, True),
-                          self.max_cond_atoms)
-            if hit is not None:
-                out.extend(self._resolve_deref_after(loc, s, hit))
-            base_cond = conjoin(cond, points_to_atom(loc, u, s, False),
-                                self.max_cond_atoms)
-            if base_cond is None:
-                return out
+        base: Tuple[int, ...] = ()
+        if self.fsci is None or self._holds(self._mask_before(loc, u), s):
+            out.extend(self._resolve_after(
+                loc, s, (self._pt_atom(loc, u, s, True),)))
+            base = (self._pt_atom(loc, u, s, False),)
         # With s unchanged, the store affects *s only if s and u point to
         # the same cell (Algorithm 4 lines 28-35).
         if not self._may_alias_at(loc, s, u):
-            out.append((term, base_cond))
-            return out
-        hit = conjoin(base_cond, same_object_atom(loc, s, u, True),
-                      self.max_cond_atoms)
-        if hit is not None:
-            out.append((value, hit))
-        miss = conjoin(base_cond, same_object_atom(loc, s, u, False),
-                       self.max_cond_atoms)
-        if miss is not None:
-            out.append((term, miss))
-        return out
+            out.append((t, base))
+            return tuple(out)
+        out.append((value, base + (self._same_atom(loc, s, u, True),)))
+        out.append((t, base + (self._same_atom(loc, s, u, False),)))
+        return tuple(out)
 
-    def _resolve_deref_after(self, loc: Loc, s: Var,
-                             cond: Constraint) -> List[SummaryEntry]:
-        """Fully resolve the term ``*s`` at the state after ``loc``'s
-        statement, through FSCI facts (sound over-approximation)."""
-        if self.fsci is None:
-            return [(UnknownTerm(), cond)]
-        objs: Set[MemObject] = set()
-        for cell in self.fsci.pts_after(loc, s):
-            objs.update(self.fsci.pts_after(loc, cell))
-        return [(AddrTerm(o), cond) for o in objs] or [(UnknownTerm(), cond)]
-
-    def _inverse_call(self, stmt: CallStmt, term: Term, cond: Constraint,
-                      requested: Optional[Set[Tuple[str, Term]]]
-                      ) -> List[SummaryEntry]:
-        """Splice callee exit summaries (Algorithm 5 lines 9-18)."""
-        targets = [g for g in stmt.targets if g in self.program.functions]
-        if not targets:
-            return [(term, cond)]
-        out: List[SummaryEntry] = []
-        for g in targets:
-            if self.is_transparent(g):
-                out.append((term, cond))
-                continue
-            key = (g, term)
-            if requested is not None:
-                requested.add(key)
-                entries = self._summaries.setdefault(key, frozenset())
-                if key not in self._done:
-                    # Will be (re)computed by the fixpoint driver; the
-                    # current (possibly empty) value is a monotone
-                    # under-approximation that the driver repairs.
-                    pass
-            else:
-                entries = self.exit_summary(g, term)
-            for w, c in entries:
-                combined = merge(cond, c, self.max_cond_atoms)
-                if combined is not None:
-                    out.append((w, combined))
-        return out
-
-    # ------------------------------------------------------------------
-    # FSCI plumbing
-    # ------------------------------------------------------------------
-    def _pts_before(self, loc: Loc, p: Var) -> Optional[FrozenSet[MemObject]]:
-        if self.fsci is None:
-            return None
-        return self.fsci.pts_before(loc, p)
-
-    def _may_alias_at(self, loc: Loc, a: Var, b: Var) -> bool:
-        if self.fsci is None:
-            return True
-        pa = self.fsci.pts_before(loc, a)
-        pb = self.fsci.pts_before(loc, b)
-        # Empty sets mean "uninitialized here as far as FSCI knows";
-        # err toward aliasing.
-        return bool(pa & pb) or not pa or not pb
-
-    def _deref_after_write(self, loc: Loc, lhs: Var, value: Term,
-                           cond: Constraint) -> List[SummaryEntry]:
+    def _deref_after_write(self, loc: Loc, lhs: int,
+                           value: int) -> _Template:
         """The term ``*(value)`` evaluated just after ``lhs = <value>``.
 
         The write changed exactly one cell — ``lhs`` — whose content
@@ -533,36 +674,142 @@ class SummaryEngine:
         content equals its before-statement content, so the term can
         continue backward symbolically.  Unrepresentable cases resolve
         through FSCI (sound: FSCI over-approximates every execution)."""
-        if isinstance(value, AddrTerm):
-            if value.obj == lhs:
-                # s = &s: *s is s's own content = the assigned value.
-                return [(value, cond)]
-            return [(ObjTerm(value.obj), cond)]
-        if isinstance(value, NullTerm):
-            return []  # *NULL: no defined value flows
-        if isinstance(value, ObjTerm) and isinstance(value.obj, Var):
-            q = value.obj
+        kind, obj = value & _KIND_MASK, value >> _KIND_BITS
+        if kind == _ADDR:
+            # s = &s: *s is s's own content = the assigned value.
+            return ((value if obj == lhs else _tid(obj, _OBJ), ()),)
+        if kind == _NULL:
+            return ()  # *NULL: no defined value flows
+        if kind == _OBJ and isinstance(self._objects.obj_of(obj), Var):
+            q = obj
             # If q points to the written cell itself, *s is the assigned
             # value (= q's value); otherwise the cell was untouched and
             # *q-before-statement is correct.
-            pts_q = self._pts_before(loc, q)
-            out: List[SummaryEntry] = []
-            if pts_q is None or lhs in pts_q:
-                hit = conjoin(cond, points_to_atom(loc, q, lhs, True),
-                              self.max_cond_atoms)
-                if hit is not None:
-                    out.append((ObjTerm(q), hit))
-                miss = conjoin(cond, points_to_atom(loc, q, lhs, False),
-                               self.max_cond_atoms)
-                if miss is not None:
-                    out.append((DerefTerm(q), miss))
-                return out
-            return [(DerefTerm(q), cond)]
-        if self.fsci is None:
-            return [(UnknownTerm(), cond)]
+            if self.fsci is None \
+                    or self._holds(self._mask_before(loc, q), lhs):
+                return ((_tid(q, _OBJ), (self._pt_atom(loc, q, lhs, True),)),
+                        (_tid(q, _DEREF),
+                         (self._pt_atom(loc, q, lhs, False),)))
+            return ((_tid(q, _DEREF), ()),)
         # Coarse fallback: the possible cells after the statement are the
         # FSCI points-to of lhs there; their contents are FSCI facts too.
-        objs: Set[MemObject] = set()
-        for cell in self.fsci.pts_after(loc, lhs):
-            objs.update(self.fsci.pts_after(loc, cell))
-        return [(AddrTerm(o), cond) for o in objs] or [(UnknownTerm(), cond)]
+        return self._resolve_after(loc, lhs, ())
+
+    def _resolve_after(self, loc: Loc, s: int, atoms: Tuple[int, ...]
+                       ) -> _Template:
+        """Fully resolve the term ``*s`` at the state after ``loc``'s
+        statement, through FSCI facts (sound over-approximation)."""
+        if self.fsci is None:
+            return ((_UNKNOWN, atoms),)
+        fsci, objects = self.fsci, self._objects
+        table = fsci._table
+        contents = 0
+        for cell in table.ids_of(fsci._mask_after(loc, objects.obj_of(s))):
+            contents |= fsci._mask_after(loc, table.obj_of(cell))
+        return tuple((_tid(objects.intern(table.obj_of(i)), _ADDR), atoms)
+                     for i in table.ids_of(contents)) \
+            or ((_UNKNOWN, atoms),)
+
+    # ------------------------------------------------------------------
+    # FSCI facts, as masks over the FSCI result's own NodeTable
+    # ------------------------------------------------------------------
+    def _mask_before(self, loc: Loc, p: int) -> int:
+        return self.fsci._mask_before(loc, self._objects.obj_of(p))
+
+    def _holds(self, mask: int, obj: int) -> bool:
+        """Does the FSCI ``mask`` contain object ``obj``?"""
+        table = self.fsci._table
+        idx = table.id_of(self._objects.obj_of(obj))
+        return idx is not None and bool(mask >> (table.reserved + idx) & 1)
+
+    def _may_alias_at(self, loc: Loc, a: int, b: int) -> bool:
+        if self.fsci is None:
+            return True
+        reserved = self.fsci._table.reserved
+        pa = self._mask_before(loc, a) >> reserved
+        pb = self._mask_before(loc, b) >> reserved
+        # Empty sets mean "uninitialized here as far as FSCI knows";
+        # err toward aliasing.
+        return bool(pa & pb) or not pa or not pb
+
+    # ------------------------------------------------------------------
+    # interning and decoding
+    # ------------------------------------------------------------------
+    def _term_id(self, term: Term) -> int:
+        intern = self._objects.intern
+        if isinstance(term, ObjTerm):
+            return _tid(intern(term.obj), _OBJ)
+        if isinstance(term, DerefTerm):
+            return _tid(intern(term.var), _DEREF)
+        if isinstance(term, AddrTerm):
+            return _tid(intern(term.obj), _ADDR)
+        if isinstance(term, NullTerm):
+            return _NULL
+        if isinstance(term, UnknownTerm):
+            return _UNKNOWN
+        raise TypeError(f"not a summary term: {term!r}")
+
+    def _term(self, t: int) -> Term:
+        term = self._terms.get(t)
+        if term is None:
+            kind = t & _KIND_MASK
+            if kind == _NULL:
+                term = NullTerm()
+            elif kind == _UNKNOWN:
+                term = UnknownTerm()
+            else:
+                obj = self._objects.obj_of(t >> _KIND_BITS)
+                term = (ObjTerm, DerefTerm, AddrTerm)[kind](obj)
+            self._terms[t] = term
+        return term
+
+    def _decode(self, entries: Iterable[int]) -> FrozenSet[SummaryEntry]:
+        term, cons = self._term, self._cons
+        return frozenset((term(e & _TERM_MASK), cons[e >> _TERM_BITS])
+                         for e in entries)
+
+    def _atom_id(self, atom: Atom) -> int:
+        aid = self._atom_ids.get(atom)
+        if aid is None:
+            aid = self._atom_ids[atom] = len(self._atoms)
+            self._atoms.append(atom)
+        return aid
+
+    def _pt_atom(self, loc: Loc, r: int, s: int, positive: bool) -> int:
+        obj = self._objects.obj_of
+        return self._atom_id(points_to_atom(loc, obj(r), obj(s), positive))
+
+    def _same_atom(self, loc: Loc, r: int, s: int, positive: bool) -> int:
+        obj = self._objects.obj_of
+        return self._atom_id(same_object_atom(loc, obj(r), obj(s), positive))
+
+    def _constraint_id(self, cond: Constraint) -> int:
+        cid = self._cons_ids.get(cond)
+        if cid is None:
+            cid = self._cons_ids[cond] = len(self._cons)
+            self._cons.append(cond)
+            self._cons_sat.append(self.sat.satisfiable(cond))
+            self._conj.append({})
+            self._merges.append({})
+        return cid
+
+    def _conjoin(self, c: int, a: int) -> int:
+        """Memoized :func:`~.constraints.conjoin` on ids."""
+        out = self._conj[c].get(a)
+        if out is None:
+            out = self._conj[c][a] = self._constraint_id(conjoin(
+                self._cons[c], self._atoms[a], self.max_cond_atoms))
+        return out
+
+    def _merge(self, c: int, c2: int) -> int:
+        """Memoized :func:`~.constraints.merge` on ids."""
+        out = self._merges[c].get(c2)
+        if out is None:
+            out = self._merges[c][c2] = self._constraint_id(merge(
+                self._cons[c], self._cons[c2], self.max_cond_atoms))
+        return out
+
+
+def _tid(obj: int, kind: int) -> int:
+    """The id of the term of ``kind`` over object id ``obj``."""
+    return obj << _KIND_BITS | kind

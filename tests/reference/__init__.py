@@ -8,6 +8,9 @@ live here as oracles, not as production options:
   frozenset Andersen and FSCI solvers, drop-in replacements for
   ``Andersen.run`` / ``FSCI.run`` (tests install them with
   ``monkeypatch.setattr``);
+* :class:`ReferenceSummaryEngine` — the dataclass/frozenset summary
+  walk (Algorithms 4-5) with its LIFO fixpoint, the oracle of the
+  interned callee-first :class:`repro.analysis.SummaryEngine`;
 * :func:`build_v1_payload` and its decoders — the inline version-1
   cluster payload, the size baseline of the interned format;
 * :mod:`.profile_solvers` — the kernel-vs-reference bench behind
@@ -22,9 +25,10 @@ from .payload_v1 import (
     v1_fsci_fingerprint,
     v1_program,
 )
+from .summaries import ReferenceSummaryEngine
 
 __all__ = [
-    "ReferenceFSCIResult", "build_v1_payload", "reference_andersen_run",
-    "reference_fsci_run", "v1_cluster", "v1_fsci_fingerprint",
+    "ReferenceFSCIResult", "ReferenceSummaryEngine", "build_v1_payload",
+    "reference_andersen_run", "reference_fsci_run", "v1_cluster", "v1_fsci_fingerprint",
     "v1_program",
 ]

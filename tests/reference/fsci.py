@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, Optional, Set
 
 from repro.analysis import FSCI, FSCIResult
 from repro.analysis.dataflow import ForwardDataflow, Supergraph
+from repro.analysis.fsci import _RESERVED, NULL_BIT, UNINIT_BIT
 from repro.analysis.kernel import NodeTable
 from repro.ir import (
     AddrOf,
@@ -197,10 +198,30 @@ def _refine(fsci: FSCI, state: PtsState, stmt: Assume) -> PtsState:
 
 class ReferenceFSCIResult(FSCIResult):
     """:class:`FSCIResult` over frozenset-valued states: every accessor
-    reads the sentinel-carrying sets directly, no mask decoding."""
+    reads the sentinel-carrying sets directly, no mask decoding.  Only
+    the mask plumbing (``_mask_before``/``_mask_after``, which the
+    summary engine reads) encodes a set, interning its objects into this
+    result's own table on first sight."""
 
     def __init__(self, engine: ForwardDataflow, universe: Set[Var]) -> None:
-        super().__init__(engine, universe, NodeTable())
+        super().__init__(engine, universe, NodeTable(reserved=_RESERVED))
+
+    def _encode(self, value: FrozenSet[object]) -> int:
+        mask = 0
+        for v in value:
+            if v is UNINIT:
+                mask |= UNINIT_BIT
+            elif v is NULL_VALUE:
+                mask |= NULL_BIT
+            else:
+                mask |= self._table.bit(v)
+        return mask
+
+    def _mask_before(self, loc: Loc, p: MemObject) -> int:
+        return self._encode(_value(self._state_before(loc), p))
+
+    def _mask_after(self, loc: Loc, p: MemObject) -> int:
+        return self._encode(_value(self._state_after(loc), p))
 
     def _state_before(self, loc: Loc) -> PtsState:
         state = self._engine.state_before(loc)

@@ -12,7 +12,8 @@ from repro.analysis import (
     points_to_atom,
     same_object_atom,
 )
-from repro.ir import Loc, ProgramBuilder, Var
+from repro.analysis.constraints import atom_key
+from repro.ir import AllocSite, Loc, ProgramBuilder, Var
 
 L = Loc("main", 1)
 R, S, T = Var("r", "main"), Var("s", "main"), Var("t", "main")
@@ -52,6 +53,47 @@ class TestConjunction:
             c = conjoin(c, a, max_atoms=3)
         assert len(c) <= 3
         assert atoms[-1] in c
+
+    def test_cap_keeps_new_atom_and_smallest_others(self):
+        """Over the cap, ``conjoin`` keeps the new atom plus the
+        ``max_atoms - 1`` smallest other atoms in ``atom_key`` order —
+        whatever order the others arrived in."""
+        a = [points_to_atom(Loc("main", i), R, S) for i in range(5)]
+        assert conjoin(frozenset(a[:3]), a[4], max_atoms=3) == \
+            frozenset({a[0], a[1], a[4]})
+        assert conjoin(frozenset({a[0], a[1], a[4]}), a[3], max_atoms=3) \
+            == frozenset({a[0], a[1], a[3]})
+        assert conjoin(frozenset(a[2:]), a[0], max_atoms=3) == \
+            frozenset({a[0], a[2], a[3]})
+        # Already present: unchanged, even at the cap.
+        assert conjoin(frozenset(a[:3]), a[1], max_atoms=3) == \
+            frozenset(a[:3])
+        assert sorted(a[::-1], key=atom_key) == a
+
+    def test_merge_under_cap_follows_atom_order(self):
+        """``merge`` conjoins ``b``'s atoms in ``atom_key`` order, so
+        the capped result is the same for equal sets built in any order
+        (set iteration order follows the hash seed)."""
+        a = [points_to_atom(Loc("main", i), R, S) for i in range(5)]
+        want = frozenset({a[0], a[4]})
+        assert merge(TRUE, frozenset(a), max_atoms=2) == want
+        assert merge(TRUE, frozenset(reversed(a)), max_atoms=2) == want
+        assert merge(frozenset({a[2]}), frozenset({a[4], a[0]}),
+                     max_atoms=2) == frozenset({a[0], a[4]})
+
+    def test_atom_key_orders_mixed_objects(self):
+        """The dataclass order raises on a global vs a local of the same
+        name and on a variable vs an allocation site; ``atom_key`` orders
+        them (globals first, variables before allocation sites), so a
+        capped conjunction over such atoms works."""
+        glob, loc_ = Var("x"), Var("x", "main")
+        heap = AllocSite("main:3")
+        atoms = [points_to_atom(L, R, o) for o in (heap, loc_, glob)]
+        with pytest.raises(TypeError):
+            sorted(atoms)
+        assert sorted(atoms, key=atom_key) == atoms[::-1]
+        c = conjoin(frozenset(atoms[1:]), atoms[0], max_atoms=2)
+        assert c == frozenset({atoms[2], atoms[0]})
 
     def test_merge_combines(self):
         c1 = conjoin(TRUE, points_to_atom(L, R, S))

@@ -1,5 +1,7 @@
 """The summary engine: Definitions 3-8, Algorithms 4 and 5."""
 
+import sys
+
 import pytest
 
 from repro.analysis import (
@@ -285,6 +287,62 @@ class TestBudget:
         eng = SummaryEngine(prog, fsci=None)
         eng.exit_summary("main", ObjTerm(Var("z")))
         assert eng.steps > 0
+
+    def test_raise_leaves_no_partial_summary(self):
+        """A walk cut short by the budget forgets every key its solve
+        started: raising the budget afterwards gives the clean answer."""
+        prog = figure5_program()
+        clean = SummaryEngine(prog, fsci=FSCI(prog).run())
+        want = clean.exit_summary("main", ObjTerm(Var("z")))
+        eng = SummaryEngine(prog, fsci=FSCI(prog).run(),
+                            budget=clean.steps - 1)
+        with pytest.raises(AnalysisBudgetExceeded):
+            eng.exit_summary("main", ObjTerm(Var("z")))
+        eng.budget = None
+        assert eng.exit_summary("main", ObjTerm(Var("z"))) == want
+
+    def test_exact_budget_passes(self):
+        prog = figure5_program()
+        clean = SummaryEngine(prog, fsci=FSCI(prog).run())
+        want = clean.exit_summary("main", ObjTerm(Var("z")))
+        eng = SummaryEngine(prog, fsci=FSCI(prog).run(), budget=clean.steps)
+        assert eng.exit_summary("main", ObjTerm(Var("z"))) == want
+        assert eng.steps == clean.steps
+
+
+class TestCalleeFirst:
+    @staticmethod
+    def chain(depth):
+        """main -> f1 -> ... -> f<depth>; the last one assigns p."""
+        b = ProgramBuilder()
+        b.global_var("p")
+        b.global_var("a")
+        with b.function("main") as f:
+            f.call("f1")
+        for i in range(1, depth + 1):
+            with b.function(f"f{i}") as f:
+                if i < depth:
+                    f.call(f"f{i + 1}")
+                else:
+                    f.addr("p", "a")
+        return b.build(entry="main")
+
+    def test_deep_call_chain_needs_no_recursion(self):
+        depth = sys.getrecursionlimit() + 200
+        prog = self.chain(depth)
+        eng = SummaryEngine(prog, fsci=None)
+        entries = eng.exit_summary("main", ObjTerm(Var("p")))
+        assert summary_strs(entries) == ["&a | true"]
+
+    def test_each_callee_walked_once(self):
+        """Callees are solved before their callers resume, so an acyclic
+        chain walks every (function, term) key exactly once: the step
+        count is the sum of the functions' node counts."""
+        prog = self.chain(5)
+        eng = SummaryEngine(prog, fsci=None)
+        eng.exit_summary("main", ObjTerm(Var("p")))
+        nodes = sum(len(fn.cfg) for fn in prog.functions.values())
+        assert eng.steps == nodes
 
 
 class TestBackwardFrom:
